@@ -34,8 +34,9 @@
 // reads back "hello" from key "user:42" without disturbing other keys.
 //
 // -data-dir makes the replica durable: every acknowledged write is
-// committed to a per-shard write-ahead log (one fsync covers a whole
-// batch) before the ack leaves the node, so a kill -9 loses nothing.
+// committed to the replica's write-ahead log — one segment stream, where
+// one write and one fsync cover a whole batch — before the ack leaves
+// the node, so a kill -9 loses nothing.
 // On restart the replica replays its log, rejoins the cluster epoch and
 // serves again. SIGTERM/SIGINT shut down gracefully — flush, snapshot,
 // and mark the directory clean so the next start skips segment replay.
@@ -90,7 +91,7 @@ func main() {
 	members := flag.String("members", "", "initial member IDs, e.g. '0-8' or '0-3,6' (default: every peer)")
 	key := flag.String("key", "", "key the client operations target (empty = the classic single register)")
 	shards := flag.Int("shards", 0, "replica store shard count (0 = rkv default; more shards = less lock contention across keys)")
-	dataDir := flag.String("data-dir", "", "durable storage directory: back the replica with a per-shard write-ahead log so a kill -9 loses nothing acknowledged (empty = in-memory, state dies with the process)")
+	dataDir := flag.String("data-dir", "", "durable storage directory: back the replica with a write-ahead log (one segment stream plus per-shard snapshots) so a kill -9 loses nothing acknowledged (empty = in-memory, state dies with the process)")
 	snapEvery := flag.Int("snapshot-every", 0, "snapshot a shard and truncate its log segments after this many appends (0 = WAL default, negative disables)")
 	write := flag.String("write", "", "perform a read-write update with this value")
 	read := flag.Bool("read", false, "perform a read")

@@ -197,8 +197,10 @@ func (r *Rec) Tag(kind Kind, batch int, epoch uint64) {
 // Claim marks the record as handed off to a writer goroutine, which
 // will End the send stage and Done it after the covering flush. The
 // first claim wins; callers must only transfer ownership when Claim
-// reports true. Not atomic by design: claim and the post-delivery
-// claimed-check run on the delivery's own goroutine.
+// reports true, and must not touch the record afterwards — the writer
+// may already have recycled it, so the caller remembers the hand-off
+// itself. Not atomic by design: claims run on the delivery's own
+// goroutine.
 func (r *Rec) Claim() bool {
 	if r == nil || r.claimed {
 		return false
@@ -206,10 +208,6 @@ func (r *Rec) Claim() bool {
 	r.claimed = true
 	return true
 }
-
-// Claimed reports whether a writer goroutine owns the record's
-// completion.
-func (r *Rec) Claimed() bool { return r != nil && r.claimed }
 
 // Done closes any still-open stages, folds the record into its tracer's
 // histograms and recycles it. The record must not be used afterwards.

@@ -20,8 +20,8 @@ import (
 // commit barrier (wal.Sync) therefore covers the record, and no ack can
 // reference state the log doesn't yet hold. Snapshots dump a shard
 // under that same lock, making the dumped state a superset of every
-// appended record — the invariant wal.SnapshotShard needs to truncate
-// segments safely.
+// appended record — the invariant wal.SnapshotShard needs before the
+// log may delete the segments the snapshot covers.
 
 // clockLeaseChunk is how far ahead of the highest stamped counter a
 // clock lease reaches. Larger chunks mean fewer lease commits (one per
@@ -51,9 +51,9 @@ func (n *Node) openStorage() error {
 
 // openDisk opens the WAL under DataDir and replays it into the (empty)
 // store: puts re-merge monotonically — replay over overlapping snapshot
-// and segment history is idempotent — and clock leases raise the
-// logical clock past every counter the previous incarnation may have
-// stamped.
+// and stream history is idempotent, and stream records are routed by
+// key — and clock leases raise the logical clock past every counter the
+// previous incarnation may have stamped.
 func (n *Node) openDisk() error {
 	l, err := wal.Open(n.cfg.DataDir, wal.Options{
 		Shards:        n.store.count(),
@@ -125,10 +125,11 @@ func (n *Node) applyPut(key string, ver Version, val string) bool {
 
 // commitDurable is the group-commit barrier a replica crosses before
 // acknowledging: every record appended so far — the whole quorum
-// batch, typically — becomes durable under one fsync per dirty shard
-// file. Reports whether the ack may be sent. On the memory backend it
-// is free. rec (nil when unsampled) gets the barrier as its storage
-// stage, with the WAL splitting it into group-commit wait vs fsync.
+// batch, typically — becomes durable under one write and one fsync of
+// the log's stream. Reports whether the ack may be sent. On the memory
+// backend it is free. rec (nil when unsampled) gets the barrier as its
+// storage stage, with the WAL splitting it into group-commit wait vs
+// fsync.
 func (n *Node) commitDurable(rec *optrace.Rec) bool {
 	if n.wal == nil {
 		return true
@@ -143,10 +144,12 @@ func (n *Node) commitDurable(rec *optrace.Rec) bool {
 	return true
 }
 
-// maybeSnapshot compacts any shard whose log grew past SnapshotEvery
-// records: the shard map is dumped and written as the new snapshot
-// under the map-shard lock, so it is guaranteed to cover every record
-// in the segments being truncated.
+// maybeSnapshot snapshots every shard the log marks due — one that
+// appended SnapshotEvery records, or one whose old snapshot keeps the
+// stream from shedding its oldest segment: the shard map is dumped and
+// written as the new snapshot under the map-shard lock, so it is
+// guaranteed to cover every record of the shard in the segments the log
+// then deletes.
 func (n *Node) maybeSnapshot() {
 	for _, shard := range n.wal.SnapshotDue() {
 		n.store.withShard(shard, func(m map[string]entry) {
@@ -157,7 +160,8 @@ func (n *Node) maybeSnapshot() {
 	}
 }
 
-// recordsOf converts one shard's map state to WAL put records.
+// recordsOf converts one shard's map state to WAL put records. The log
+// itself adds the clock lease to every snapshot.
 func recordsOf(shard int, m map[string]entry) []wal.Record {
 	recs := make([]wal.Record, 0, len(m))
 	for k, e := range m {

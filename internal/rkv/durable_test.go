@@ -97,24 +97,33 @@ func TestDiskCrashRecovery(t *testing.T) {
 // TestDiskGroupCommitPerBatch: with Batch=8 an eight-op round reaches a
 // replica as one msgWriteBatch and must cost one commit round with one
 // fsync, not eight — the end-to-end form of the WAL-level group-commit
-// guarantee.
+// guarantee. The store runs its default 16 shards and the batch spans
+// at least four of them, so per-shard files would show up as extra
+// fsyncs.
 func TestDiskGroupCommitPerBatch(t *testing.T) {
 	var ops []Op
+	shards := make(map[uint64]bool)
 	for i := 0; i < 8; i++ {
-		ops = append(ops, Op{Kind: OpBlindWrite, Key: fmt.Sprintf("key-%d", i), Value: "v"})
+		key := fmt.Sprintf("key-%d", i)
+		shards[hashKey(key)%DefaultShards] = true
+		ops = append(ops, Op{Kind: OpBlindWrite, Key: key, Value: "v"})
 	}
-	h := newDiskHarness(t, 12, Config{Batch: 8, Shards: 1, OpGap: -1}, map[cluster.NodeID][]Op{0: ops})
+	if len(shards) < 4 {
+		t.Fatalf("batch keys land in %d shards, want at least 4", len(shards))
+	}
+	h := newDiskHarness(t, 12, Config{Batch: 8, OpGap: -1}, map[cluster.NodeID][]Op{0: ops})
 	h.run(t, 30*time.Second)
 
 	// Nodes 1 and 2 are pure replicas (no client, so no lease commits):
-	// exactly the batch's records, exactly one sync round, one fsync.
+	// exactly the batch's records, exactly one sync round, one write,
+	// one fsync.
 	for _, id := range []int{1, 2} {
 		st := h.nodes[id].WALStats()
 		if st.Appends != 8 {
 			t.Errorf("node %d: Appends = %d, want 8", id, st.Appends)
 		}
-		if st.SyncRounds != 1 || st.FileSyncs != 1 {
-			t.Errorf("node %d: SyncRounds=%d FileSyncs=%d, want 1/1 — batch must group-commit", id, st.SyncRounds, st.FileSyncs)
+		if st.SyncRounds != 1 || st.Writes != 1 || st.FileSyncs != 1 {
+			t.Errorf("node %d: SyncRounds=%d Writes=%d FileSyncs=%d, want 1/1/1 — batch must group-commit", id, st.SyncRounds, st.Writes, st.FileSyncs)
 		}
 	}
 	// The client node additionally committed its clock lease.
@@ -155,6 +164,58 @@ func TestDiskClockLeaseSurvivesRestart(t *testing.T) {
 	post := h.results[len(h.results)-1]
 	if post.Version.Counter <= preVer.Counter {
 		t.Fatalf("post-restart stamp %d not above pre-crash stamp %d", post.Version.Counter, preVer.Counter)
+	}
+}
+
+// TestDiskClockLeaseSurvivesCleanShutdown: Close replaces the stream
+// with snapshots, so the segment holding the lease record is deleted;
+// the lease must come back from the snapshots.
+func TestDiskClockLeaseSurvivesCleanShutdown(t *testing.T) {
+	h := newDiskHarness(t, 16, Config{}, map[cluster.NodeID][]Op{
+		0: {{Kind: OpWrite, Value: "before"}},
+	})
+	h.run(t, 30*time.Second)
+	preLease := h.nodes[0].walLease
+	if preLease == 0 {
+		t.Fatal("writer holds no clock lease after a write")
+	}
+	for _, n := range h.nodes {
+		if err := n.Close(); err != nil {
+			t.Fatalf("node %d close: %v", n.id, err)
+		}
+	}
+	store, _ := NewMajorityStore(3, 3, 3)
+	reborn, err := NewNode(0, Config{Store: store, Storage: "disk", DataDir: h.dirs[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reborn.Close()
+	if !reborn.CleanStart() {
+		t.Fatal("reopen after Close did not see the clean-shutdown marker")
+	}
+	if reborn.walLease < preLease || reborn.clock.Load() < preLease {
+		t.Fatalf("after clean reopen lease = %d, clock = %d, want both >= %d", reborn.walLease, reborn.clock.Load(), preLease)
+	}
+}
+
+// TestDiskClockLeaseSurvivesSnapshotCrash: snapshots let the log delete
+// the segment that held the lease record; a crash afterwards must still
+// recover the lease.
+func TestDiskClockLeaseSurvivesSnapshotCrash(t *testing.T) {
+	var ops []Op
+	for i := 0; i < 12; i++ {
+		ops = append(ops, Op{Kind: OpBlindWrite, Value: fmt.Sprintf("v%d", i)})
+	}
+	h := newDiskHarness(t, 17, Config{SnapshotEvery: 4, Shards: 1}, map[cluster.NodeID][]Op{0: ops})
+	h.run(t, 60*time.Second)
+	preLease := h.nodes[0].walLease
+	if st := h.nodes[0].WALStats(); st.Snapshots == 0 || preLease == 0 {
+		t.Fatalf("writer took no snapshot or holds no lease: lease %d, %+v", preLease, st)
+	}
+	h.net.Crash(0)
+	h.net.Restart(0)
+	if got := h.nodes[0].walLease; got < preLease {
+		t.Fatalf("lease after snapshot + crash = %d, want >= %d", got, preLease)
 	}
 }
 

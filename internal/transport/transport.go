@@ -396,14 +396,12 @@ func (n *Node) readLoop(c net.Conn) {
 		if n.fast != nil {
 			env.rec = rec
 			ok := n.fast.FastDeliver(env, cluster.NodeID(from), msg)
-			env.rec = nil
 			if ok {
 				n.fastPath.Add(1)
-				if rec != nil && !rec.Claimed() {
-					rec.Done()
-				}
+				env.finish()
 				continue
 			}
+			env.rec, env.sent = nil, false
 		}
 		rec.Begin(optrace.StageQueue)
 		select {
@@ -443,10 +441,7 @@ func (n *Node) eventLoop() {
 				e.rec.End(optrace.StageQueue)
 				env.rec = e.rec
 				n.handler.Deliver(env, e.from, e.msg)
-				env.rec = nil
-				if e.rec != nil && !e.rec.Claimed() {
-					e.rec.Done()
-				}
+				env.finish()
 			case 1:
 				n.handler.Timer(env, e.token)
 			}
@@ -461,9 +456,12 @@ func (n *Node) eventLoop() {
 // rec, when non-nil, is the in-flight delivery's trace record: the first
 // remote send of a sampled delivery claims it and hands its completion
 // to the peer writer, which closes the send stage after the flush that
-// carried the frame. Later sends of the same delivery (quorum fan-out)
-// travel unwrapped — one delivery, one send-stage measurement.
-func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) {
+// carried the frame, and send reports true. From then on the record
+// belongs to the writer, which may fold and recycle it at any moment,
+// so the caller must not touch it again: later sends of the same
+// delivery (quorum fan-out) pass nil and travel unwrapped — one
+// delivery, one send-stage measurement.
+func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) (claimed bool) {
 	n.sent.Add(1)
 	if n.dropRate > 0 && n.rng.Float64() < n.dropRate {
 		n.dropped.Add(1)
@@ -474,14 +472,14 @@ func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) {
 		case n.events <- event{kind: 0, from: n.id, msg: msg}:
 		case <-n.quit:
 		}
-		return
+		return false
 	}
 	w, err := n.writer(to)
 	if err != nil {
 		n.dropped.Add(1)
-		return
+		return false
 	}
-	claimed := rec.Claim()
+	claimed = rec.Claim()
 	if claimed {
 		rec.Begin(optrace.StageSend)
 		msg = tracedMsg{msg: msg, rec: rec}
@@ -497,6 +495,7 @@ func (n *Node) send(to cluster.NodeID, msg any, rec *optrace.Rec) {
 			rec.Done() // the writer never saw it; fold what we have
 		}
 	}
+	return claimed
 }
 
 // writer returns (starting if needed) the peer's writer goroutine.
@@ -744,9 +743,22 @@ func (n *Node) after(d time.Duration, token any) {
 // and each reader goroutine owns its own instance, matching the
 // simulation's single-threaded handler contract; rec is the in-flight
 // delivery's trace record, set around each Deliver/FastDeliver call.
+// Once a Send hands rec to a peer writer, sent notes that here — on
+// the delivering goroutine — because the record itself may already be
+// folded and recycled by the writer.
 type liveEnv struct {
-	n   *Node
-	rec *optrace.Rec
+	n    *Node
+	rec  *optrace.Rec
+	sent bool
+}
+
+// finish ends the delivery: the record is folded here unless a Send
+// handed it to a peer writer, which then owns it.
+func (e *liveEnv) finish() {
+	if !e.sent {
+		e.rec.Done()
+	}
+	e.rec, e.sent = nil, false
 }
 
 var (
@@ -761,11 +773,21 @@ func (e *liveEnv) ID() cluster.NodeID { return e.n.id }
 func (e *liveEnv) Now() time.Duration { return time.Since(e.n.start) }
 
 // Send implements cluster.Env.
-func (e *liveEnv) Send(to cluster.NodeID, msg any) { e.n.send(to, msg, e.rec) }
+func (e *liveEnv) Send(to cluster.NodeID, msg any) {
+	if e.n.send(to, msg, e.TraceRec()) {
+		e.sent = true
+	}
+}
 
 // TraceRec implements optrace.Carrier: handlers stamp their stages into
-// the delivery's sampled record (nil when unsampled — stamps no-op).
-func (e *liveEnv) TraceRec() *optrace.Rec { return e.rec }
+// the delivery's sampled record (nil when unsampled — stamps no-op, and
+// nil once a Send handed the record to a peer writer).
+func (e *liveEnv) TraceRec() *optrace.Rec {
+	if e.sent {
+		return nil
+	}
+	return e.rec
+}
 
 // After implements cluster.Env.
 func (e *liveEnv) After(d time.Duration, token any) { e.n.after(d, token) }

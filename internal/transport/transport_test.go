@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"hquorum/internal/hgrid"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/htriang"
+	"hquorum/internal/optrace"
 	"hquorum/internal/rkv"
 )
 
@@ -747,5 +749,104 @@ func TestMemMesh(t *testing.T) {
 	defer mu.Unlock()
 	if results[1].Value != "mem" {
 		t.Fatalf("in-process read returned %+v", results[1])
+	}
+}
+
+// TestTracedDeliveryFoldsOnce: at 1-in-1 sampling every frame a reader
+// decodes carries a trace record. A reply's first Send hands the record
+// to the peer writer, which may fold and recycle it at once, so the
+// delivering goroutine must never touch it again — reading the record's
+// claim flag there folded recycled records a second time and panicked.
+// Under several seconds of pipelined load every sampled frame must fold
+// exactly once.
+func TestTracedDeliveryFoldsOnce(t *testing.T) {
+	rkv.RegisterWire(Register)
+	store, err := rkv.NewMajorityStore(4, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := make([]cluster.Handler, 4)
+	var nodes []*rkv.Node
+	for i := range handlers {
+		rn, err := rkv.NewNode(cluster.NodeID(i), rkv.Config{
+			Store:       store,
+			Window:      8,
+			Batch:       4,
+			TraceSample: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers[i] = rn
+		nodes = append(nodes, rn)
+	}
+	mesh, err := NewMesh(handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mesh.Close()
+	mesh.Start()
+	client := nodes[0]
+	client.SetWake(func() { mesh.Node(0).Kick(0, client.StartToken()) })
+
+	// Closed loop, 16 in flight, alternating writes and reads over 64
+	// keys until the deadline.
+	var issued, done, failed atomic.Int64
+	deadline := time.Now().Add(3 * time.Second)
+	var submit func(i int)
+	submit = func(i int) {
+		issued.Add(1)
+		op := rkv.Op{Kind: rkv.OpWrite, Key: fmt.Sprintf("k%d", i%64), Value: "v"}
+		if i%2 == 1 {
+			op = rkv.Op{Kind: rkv.OpRead, Key: op.Key}
+		}
+		client.Submit(op, func(r rkv.Result) {
+			if r.Err != nil {
+				failed.Add(1)
+			}
+			if time.Now().Before(deadline) {
+				submit(i + 16)
+			}
+			done.Add(1)
+		})
+	}
+	for i := 0; i < 16; i++ {
+		submit(i)
+	}
+	waitFor(t, 60*time.Second, func() bool {
+		return time.Now().After(deadline) && done.Load() == issued.Load()
+	})
+	if failed.Load() > 0 {
+		t.Fatalf("%d of %d ops failed", failed.Load(), issued.Load())
+	}
+	// Quiesce: once no frame moved for a while, every claimed reply has
+	// been flushed and folded by its writer.
+	var received uint64
+	stable := 0
+	waitFor(t, 10*time.Second, func() bool {
+		if r := mesh.Stats().Received; r != received {
+			received, stable = r, 0
+			return false
+		}
+		stable++
+		return stable >= 40
+	})
+	var snap optrace.Snapshot
+	for _, rn := range nodes {
+		if err := snap.Merge(rn.TraceSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reader records are the ones with a decode stage; coordinator ops
+	// carry a quorum stage instead.
+	decoded, quorum := snap.Stages["decode"].Count, snap.Stages["quorum"].Count
+	if decoded != received {
+		t.Fatalf("folded %d reader records for %d sampled frames", decoded, received)
+	}
+	if snap.Sampled != decoded+quorum {
+		t.Fatalf("folded %d records, want %d reader + %d coordinator", snap.Sampled, decoded, quorum)
+	}
+	if issued.Load() < 100 {
+		t.Fatalf("only %d ops in the load window", issued.Load())
 	}
 }

@@ -1,6 +1,6 @@
 // Package wal implements the durable storage backend behind the rkv
-// replica store: per-shard segmented append-only logs with group
-// commit, periodic snapshots with segment truncation, and
+// replica store: one append-only segment stream per replica with group
+// commit, per-shard snapshots that let sealed segments be deleted, and
 // replay-on-restart.
 //
 // Every logged event is one self-delimiting record:
@@ -26,13 +26,13 @@ import (
 	"hquorum/internal/codec"
 )
 
-// Kind discriminates record types within a shard log.
+// Kind discriminates record types within the log.
 type Kind uint8
 
 const (
 	// KindPut is a versioned key write — the replica store's monotonic
 	// merge unit. Replaying a put is idempotent: higher version wins,
-	// so overlapping snapshot and segment history converges.
+	// so overlapping snapshot and stream history converges.
 	KindPut Kind = 1
 	// KindClock is a clock lease: the node promises never to stamp a
 	// version counter above Counter without first logging a higher
@@ -54,8 +54,9 @@ const MaxRecord = codec.MaxFrame
 // Replay treats it as the torn tail of a crashed write and stops.
 var ErrCorrupt = errors.New("wal: corrupt record")
 
-// Record is one logged event. Shard routes the record to a shard log
-// and is not encoded — placement is implied by the file it lives in.
+// Record is one logged event. Shard names the store shard whose
+// snapshot covers the record; it is not encoded, so Replay reports it
+// only for snapshot records and -1 for records read from the stream.
 type Record struct {
 	Shard   int
 	Kind    Kind
@@ -91,7 +92,7 @@ func appendFrame(dst []byte, body []byte) []byte {
 
 // AppendRecord appends rec as one framed, CRC-guarded record and
 // returns the extended slice. The hot path inside the log reuses a
-// per-shard scratch buffer instead; this form is for tests and tools.
+// scratch buffer instead; this form is for tests and tools.
 func AppendRecord(buf []byte, rec Record) []byte {
 	return appendFrame(buf, appendBody(nil, rec))
 }
@@ -147,7 +148,7 @@ func decodeBody(body []byte) (Record, error) {
 // scanBuf walks the framed records at the front of data, invoking fn
 // (if non-nil) for each valid one, and returns the byte offset just
 // past the last valid record — the length a recovering log truncates
-// its active segment to.
+// its active segment to. Decoded records get Shard shard.
 func scanBuf(data []byte, shard int, fn func(Record)) int {
 	off := 0
 	for off < len(data) {

@@ -2,12 +2,11 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
 
-// TestTornWriteEveryOffset cuts the active segment's final record at
+// TestTornWriteEveryOffset cuts the stream's final record at
 // every byte offset — modeling a write torn mid-record by a crash — and
 // asserts recovery stops cleanly at the last fully-valid record: no
 // error, no garbage record, and the torn tail physically truncated so
@@ -33,7 +32,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 	}
 	l.Abandon()
 
-	seg := filepath.Join(base, "s00", segName(1))
+	seg := segPath(base, 1)
 	whole, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,12 +42,8 @@ func TestTornWriteEveryOffset(t *testing.T) {
 
 	for cut := 0; cut < lastLen; cut++ {
 		dir := t.TempDir()
-		sdir := filepath.Join(dir, "s00")
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
 		torn := whole[:intact+cut]
-		if err := os.WriteFile(filepath.Join(sdir, segName(1)), torn, 0o644); err != nil {
+		if err := os.WriteFile(segPath(dir, 1), torn, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		lr, err := Open(dir, Options{Shards: 1})
@@ -56,7 +51,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
 		got := collect(t, lr)
-		if !reflect.DeepEqual(got, keep) {
+		if !reflect.DeepEqual(got, streamed(keep...)) {
 			t.Fatalf("cut %d: replay = %+v, want the two intact records", cut, got)
 		}
 		// The torn bytes must be gone from disk: recovery truncates to
@@ -70,7 +65,7 @@ func TestTornWriteEveryOffset(t *testing.T) {
 			t.Fatalf("cut %d: reopen: %v", cut, err)
 		}
 		got2 := collect(t, lr2)
-		want2 := append(append([]Record{}, keep...), put(0, "after", 4, 3, "post-crash"))
+		want2 := streamed(append(append([]Record{}, keep...), put(0, "after", 4, 3, "post-crash"))...)
 		if !reflect.DeepEqual(got2, want2) {
 			t.Fatalf("cut %d: replay after post-crash append = %+v, want %+v", cut, got2, want2)
 		}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,6 +13,33 @@ import (
 // put builds a KindPut record for shard s.
 func put(s int, key string, counter, writer uint64, val string) Record {
 	return Record{Shard: s, Kind: KindPut, Key: key, Counter: counter, Writer: writer, Value: val}
+}
+
+// streamed returns recs as Replay reports them from the segment
+// stream: placement is not encoded, so Shard is -1.
+func streamed(recs ...Record) []Record {
+	out := make([]Record, len(recs))
+	for i, r := range recs {
+		r.Shard = -1
+		out[i] = r
+	}
+	return out
+}
+
+// segFiles counts the segment files in the log's root directory.
+func segFiles(t *testing.T, dir string) int {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, e := range ents {
+		if _, ok := fileNumber(e.Name(), segPrefix); ok {
+			n++
+		}
+	}
+	return n
 }
 
 // collect replays every record into a slice.
@@ -52,18 +80,10 @@ func TestAppendSyncReplayRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Abandon()
-	got := collect(t, l2)
-	// Replay is per-shard in shard order; regroup want the same way.
-	var wantByShard []Record
-	for s := 0; s < 4; s++ {
-		for _, r := range want {
-			if r.Shard == s {
-				wantByShard = append(wantByShard, r)
-			}
-		}
-	}
-	if !reflect.DeepEqual(got, wantByShard) {
-		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, wantByShard)
+	// No snapshots yet: replay is the stream, in append order across
+	// shards.
+	if got := collect(t, l2); !reflect.DeepEqual(got, streamed(want...)) {
+		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", got, streamed(want...))
 	}
 	if st := l2.Stats(); st.Replayed != uint64(len(want)) {
 		t.Fatalf("Replayed = %d, want %d", st.Replayed, len(want))
@@ -71,18 +91,25 @@ func TestAppendSyncReplayRoundTrip(t *testing.T) {
 }
 
 // TestGroupCommitOneFsyncPerBatch is the acceptance check for group
-// commit: a full batch of 8 records costs exactly one fsync on the
-// shard file, not eight.
+// commit: a full batch of 8 records spread over the default 16 shards
+// costs exactly one write and one fsync on the stream, not one per
+// dirty shard.
 func TestGroupCommitOneFsyncPerBatch(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Shards: 1})
+	l, err := Open(t.TempDir(), Options{Shards: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Abandon()
+	dirty := make(map[int]bool)
 	for i := 0; i < 8; i++ {
-		if err := l.Append(put(0, "k", uint64(i+1), 1, "v")); err != nil {
+		shard := (i * 5) % 16
+		dirty[shard] = true
+		if err := l.Append(put(shard, fmt.Sprintf("k%d", i), uint64(i+1), 1, "v")); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(dirty) < 4 {
+		t.Fatalf("batch touches %d shards, want at least 4", len(dirty))
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -94,8 +121,8 @@ func TestGroupCommitOneFsyncPerBatch(t *testing.T) {
 	if st.SyncRounds != 1 {
 		t.Fatalf("SyncRounds = %d, want 1", st.SyncRounds)
 	}
-	if st.FileSyncs != 1 {
-		t.Fatalf("FileSyncs = %d, want 1 — group commit must fold the batch into one fsync", st.FileSyncs)
+	if st.Writes != 1 || st.FileSyncs != 1 {
+		t.Fatalf("Writes = %d, FileSyncs = %d, want 1/1 — group commit must fold the batch into one write and one fsync", st.Writes, st.FileSyncs)
 	}
 	// A Sync with nothing new appended is free: no extra round.
 	if err := l.Sync(); err != nil {
@@ -145,9 +172,13 @@ func TestConcurrentCommitsCoalesce(t *testing.T) {
 	}
 }
 
+// TestSnapshotTruncatesSegments: a sealed segment is deleted once every
+// shard's snapshot covers it, not before; replay is the snapshots, then
+// what is left of the stream.
 func TestSnapshotTruncatesSegments(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Shards: 1, SnapshotEvery: 4})
+	// SegmentBytes 1 seals the segment after every commit round.
+	l, err := Open(dir, Options{Shards: 2, SnapshotEvery: 4, SegmentBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,31 +198,33 @@ func TestSnapshotTruncatesSegments(t *testing.T) {
 	if due := l.SnapshotDue(); due != nil {
 		t.Fatalf("SnapshotDue after snapshot = %v, want nil", due)
 	}
-	// Old segments gone: only the fresh active segment plus the snapshot.
-	sdir := filepath.Join(dir, "s00")
-	ents, err := os.ReadDir(sdir)
-	if err != nil {
+	// Shard 1 has no snapshot yet, so the four sealed segments stay.
+	if n := segFiles(t, dir); n != 5 {
+		t.Fatalf("%d segment files after shard 0's snapshot, want 4 sealed + 1 active", n)
+	}
+	if err := l.SnapshotShard(1, nil); err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
+	if n := segFiles(t, dir); n != 1 {
+		t.Fatalf("%d segment files after every shard snapshotted, want only the active one", n)
 	}
-	if len(names) != 2 {
-		t.Fatalf("shard dir holds %v, want snapshot + one fresh segment", names)
+	for shard := 0; shard < 2; shard++ {
+		if _, err := os.Stat(snapPath(dir, shard, 5)); err != nil {
+			t.Fatalf("shard %d snapshot not tagged with the active segment: %v", shard, err)
+		}
 	}
-	// Appends continue in the fresh segment and replay sees snapshot+tail.
+	// Appends continue in the stream and replay sees snapshots + tail.
 	if err := l.Commit(put(0, "k2", 5, 1, "w")); err != nil {
 		t.Fatal(err)
 	}
 	l.Abandon()
-	l2, err := Open(dir, Options{Shards: 1})
+	l2, err := Open(dir, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Abandon()
 	got := collect(t, l2)
-	want := []Record{put(0, "k", 4, 1, "v"), put(0, "k2", 5, 1, "w")}
+	want := append([]Record{put(0, "k", 4, 1, "v")}, streamed(put(0, "k2", 5, 1, "w"))...)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay after snapshot:\n got %+v\nwant %+v", got, want)
 	}
@@ -280,7 +313,7 @@ func TestAbandonLosesOnlyUnsynced(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := collect(t, l2)
-		want := []Record{put(0, "durable", 1, 1, "yes")}
+		want := streamed(put(0, "durable", 1, 1, "yes"))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("noSync=%v: replay after crash:\n got %+v\nwant %+v", noSync, got, want)
 		}
@@ -300,12 +333,8 @@ func TestSegmentRoll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ents, err := os.ReadDir(filepath.Join(dir, "s00"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) < 3 {
-		t.Fatalf("expected multiple rolled segments, got %d files", len(ents))
+	if n := segFiles(t, dir); n < 3 {
+		t.Fatalf("expected multiple rolled segments, got %d", n)
 	}
 	l.Abandon()
 	l2, err := Open(dir, Options{Shards: 1})
