@@ -23,11 +23,9 @@ import (
 
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
 	"hquorum/internal/htgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/nemesis"
-	"hquorum/internal/rkv"
 	"hquorum/internal/tuner"
 )
 
@@ -43,56 +41,51 @@ func main() {
 		os.Exit(2)
 	}
 
-	h44 := hgrid.Auto(4, 4)
-	maj5, err := rkv.NewMajorityStore(5, 3, 3)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-		os.Exit(2)
-	}
 	gridSchedules := append(nemesis.DefaultSchedules(16), nemesis.ColumnCut(4, 4))
-	// Reconfiguration cells: epoch-versioned clusters whose schedules kick
-	// a live config change mid-workload. Every run must settle at epoch 3
-	// (stable → joint → stable) with a linearizable history across the
-	// boundary, or the sweep counts a violation.
-	initGrid := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
-	initMaj := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
-	toHTGrid := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
-	toGrid := initGrid
+	grid44 := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+	hTGrid44 := epoch.Params{Flavor: epoch.FlavorHTGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
+	maj9 := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
+	maj5 := epoch.Params{Flavor: epoch.FlavorMajority, R: 3, W: 3, Members: epoch.MemberRange(0, 5)}
 	rkvCases := []nemesis.RKVCase{
-		{Name: "h-grid-4x4", Store: rkv.HGridStore{H: h44}, Schedules: gridSchedules},
-		{Name: "h-T-grid-4x4", Store: rkv.HTGridStore{Sys: htgrid.New(h44)}, Schedules: gridSchedules},
+		{Name: "h-grid-4x4", Initial: grid44, Space: 16, Schedules: gridSchedules},
+		{Name: "h-T-grid-4x4", Initial: hTGrid44, Space: 16, Schedules: gridSchedules},
 		// Pipelined cell: each node keeps up to 4 operations in flight, so
 		// the checker exercises concurrent ops from one node under faults.
-		{Name: "h-grid-4x4/w4", Store: rkv.HGridStore{H: h44}, Window: 4, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/w4", Initial: grid44, Space: 16, Window: 4, Schedules: gridSchedules},
 		// Multi-key batched cell: the workload spans 8 keys with 4 ops
 		// coalesced per quorum round; linearizability is checked per key.
-		{Name: "h-grid-4x4/k8b4", Store: rkv.HGridStore{H: h44}, Window: 2, Batch: 4, Keys: 8, Schedules: gridSchedules},
+		{Name: "h-grid-4x4/k8b4", Initial: grid44, Space: 16, Window: 2, Batch: 4, Keys: 8, Schedules: gridSchedules},
+		// Reconfiguration cells: schedules kick a live config change
+		// mid-workload. Every run must settle at epoch 3 (stable → joint →
+		// stable) with a linearizable history across the boundary, or the
+		// sweep counts a violation.
+		//
 		// Flavor swap under crashes: h-grid → h-T-grid on fixed membership
 		// while two nodes are dark around the transition.
-		{Name: "rc/h44-hT44", Initial: &initGrid, Space: 16, WantEpoch: 3,
+		{Name: "rc/h44-hT44", Initial: grid44, Space: 16, WantEpoch: 3,
 			Schedules: []nemesis.Schedule{
-				nemesis.ReconfigQuiet(0, toHTGrid),
-				nemesis.ReconfigMidCrash(0, toHTGrid, []cluster.NodeID{5, 6}),
+				nemesis.ReconfigQuiet(0, hTGrid44),
+				nemesis.ReconfigMidCrash(0, hTGrid44, []cluster.NodeID{5, 6}),
 			}},
 		// Growth under crashes: majority-9 → h-grid over all 16 nodes with
 		// an incoming member down for the transition window.
-		{Name: "rc/maj9-h44", Initial: &initMaj, Space: 16, WantEpoch: 3,
+		{Name: "rc/maj9-h44", Initial: maj9, Space: 16, WantEpoch: 3,
 			Schedules: []nemesis.Schedule{
-				nemesis.ReconfigMidCrash(0, toGrid, []cluster.NodeID{12}),
+				nemesis.ReconfigMidCrash(0, grid44, []cluster.NodeID{12}),
 			}},
 		// Durable cells: every node runs the disk backend, so a restarted
 		// node replays its WAL instead of coming back empty — the combined
 		// history must still be linearizable per key.
-		{Name: "h-grid-4x4/disk", Store: rkv.HGridStore{H: h44}, Disk: true, Shards: 4,
+		{Name: "h-grid-4x4/disk", Initial: grid44, Space: 16, Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{nemesis.CrashStorm(16), nemesis.Churn(16)}},
-		{Name: "majority-5/disk", Store: maj5, Disk: true, Shards: 4,
+		{Name: "majority-5/disk", Initial: maj5, Space: 5, Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{nemesis.RollingRestart(5)}},
 		// Reconfiguration with disk recovery: the crashed nodes rejoin the
 		// new epoch from their replayed logs.
-		{Name: "rc/h44-hT44/disk", Initial: &initGrid, Space: 16, WantEpoch: 3,
+		{Name: "rc/h44-hT44/disk", Initial: grid44, Space: 16, WantEpoch: 3,
 			Disk: true, Shards: 4,
 			Schedules: []nemesis.Schedule{
-				nemesis.ReconfigMidCrash(0, toHTGrid, []cluster.NodeID{5, 6}),
+				nemesis.ReconfigMidCrash(0, hTGrid44, []cluster.NodeID{5, 6}),
 			}},
 		// Auto-tune under fire: no schedule Reconfig — node 0's workload
 		// tuner drives the swaps itself off the measured mix, which shifts
@@ -112,7 +105,7 @@ func main() {
 		// and 1 hold leases and sit squarely in the crash storm's first
 		// wave, so members must keep blocking conflicting writes until the
 		// dead holders' entries provably expire, then let writes flow.
-		{Name: "lease/maj9-holder", Initial: &initMaj, Space: 16,
+		{Name: "lease/maj9-holder", Initial: maj9, Space: 16,
 			Ops: 12, Keys: 8,
 			Lease: &lease.Config{
 				Shards:      8,
@@ -128,7 +121,7 @@ func main() {
 		// invalidation phase against a dead leaseholder, then two writers
 		// crash inside that window. Their maybe-writes must stay safe and
 		// the survivors must unblock once the lease provably expires.
-		{Name: "lease/maj9-writer", Initial: &initMaj, Space: 16,
+		{Name: "lease/maj9-writer", Initial: maj9, Space: 16,
 			Ops: 12, Keys: 8,
 			Lease: &lease.Config{
 				Shards:      8,
@@ -149,7 +142,7 @@ func main() {
 				},
 				Horizon: 20 * time.Second,
 			}}},
-		{Name: "tune/maj9-shift", Initial: &initMaj, Space: 16,
+		{Name: "tune/maj9-shift", Initial: maj9, Space: 16,
 			Ops: 40, Keys: 8, ShiftReads: 0.95,
 			AutoTune: &tuner.Policy{
 				Interval: 250 * time.Millisecond,

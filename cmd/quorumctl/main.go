@@ -279,7 +279,6 @@ func reconfig(args []string) {
 		gotEpoch, gotErr = epoch, errText
 		close(done)
 	})
-	rkv.RegisterWire(transport.Register)
 	tn, err := transport.NewNode(cluster.NodeID(*id), client, addr, transport.WithDialTimeout(*dialTimeout))
 	if err != nil {
 		fail("reconfig: %v", err)
@@ -346,12 +345,10 @@ func tune(args []string) {
 	done := make(chan struct{})
 	var wl tuner.Workload
 	var cfg epoch.Config
-	haveCfg := false
-	wc := rkv.NewWorkloadClient(contactID, *retry, func(w tuner.Workload, c epoch.Config, have bool) {
-		wl, cfg, haveCfg = w, c, have
+	wc := rkv.NewWorkloadClient(contactID, *retry, func(w tuner.Workload, c epoch.Config) {
+		wl, cfg = w, c
 		close(done)
 	})
-	rkv.RegisterWire(transport.Register)
 	tn, err := transport.NewNode(cluster.NodeID(*id), wc, addr, transport.WithDialTimeout(*dialTimeout))
 	if err != nil {
 		fail("tune: %v", err)
@@ -366,9 +363,6 @@ func tune(args []string) {
 		fail("tune: no workload reply within %v (is the cluster up?)", *timeout)
 	}
 	tn.Close()
-	if !haveCfg {
-		fail("tune: replica %d is not epoch-versioned; start kvd with -store", contactID)
-	}
 
 	fmt.Printf("replica %d measured: %d ops over %v window (%.0f%% reads, write-back β=%.2f, avg latency %v)\n",
 		contactID, wl.Ops(), time.Duration(wl.SpanUs)*time.Microsecond,

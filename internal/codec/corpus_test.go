@@ -1,9 +1,11 @@
 // Seed fuzz corpus maintenance for FuzzDecodeBody. The corpus under
 // testdata/fuzz/FuzzDecodeBody is committed so `go test -fuzz` starts from
-// real frames of every protocol — rkv's register, batch and
-// reconfiguration messages (tags 0x10-0x1e), dmutex's seven mutex
-// messages (0x20-0x26) and the gob fallback (tag 0) — instead of
-// rediscovering the wire format from zero.
+// real frames of every protocol — rkv's register, batch, reconfiguration,
+// workload and lease messages (tags 0x10-0x1f, 0x30-0x37) and dmutex's
+// seven mutex messages (0x20-0x26) — instead of rediscovering the wire
+// format from zero. Files named seed-* must decode cleanly; files named
+// reject-* must be rejected (reject-tag-0x00 is a real payload under the
+// reserved tag 0, which no registration may claim).
 // Go's fuzzer replays the whole corpus on plain `go test` runs too, so a
 // decoder regression on any historical frame shape fails CI immediately.
 //
@@ -18,7 +20,6 @@ package codec_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"flag"
 	"fmt"
 	"os"
@@ -36,17 +37,6 @@ var updateCorpus = flag.Bool("update-corpus", false, "regenerate the committed s
 
 const corpusDir = "testdata/fuzz/FuzzDecodeBody"
 
-// corpusGobValue rides the gob-fallback frame in the corpus. Registered
-// with gob so the generating and verifying test binary can round-trip it;
-// fuzz replays in package codec simply exercise the unknown-type error
-// path, which is the point.
-type corpusGobValue struct {
-	Seq  uint64
-	Text string
-}
-
-func init() { gob.Register(corpusGobValue{}) }
-
 // liveRegistry is the union of every protocol's real binary codecs — the
 // registry a production transport carries.
 func liveRegistry() *codec.Registry {
@@ -62,10 +52,9 @@ func seedFrames(t *testing.T) map[string][]byte {
 	t.Helper()
 	reg := liveRegistry()
 	frames := make(map[string][]byte)
-	add := func(v any, forceGob bool) {
+	add := func(v any) {
 		var buf bytes.Buffer
 		enc := codec.NewEncoder(&buf, reg)
-		enc.SetForceGob(forceGob)
 		if _, err := enc.Encode(5, v); err != nil {
 			t.Fatalf("encode %T: %v", v, err)
 		}
@@ -75,26 +64,26 @@ func seedFrames(t *testing.T) map[string][]byte {
 		r := codec.NewReader(body)
 		r.Uvarint() // from
 		tag := r.Uvarint()
-		name := fmt.Sprintf("seed-tag-0x%02x", tag)
-		if forceGob {
-			name = "seed-gob"
+		frames[fmt.Sprintf("seed-tag-0x%02x", tag)] = body
+		if len(frames) == 1 {
+			// The first sample's payload again, under tag 0.
+			frames["reject-tag-0x00"] = append([]byte{5, 0}, r.Rest()...)
 		}
-		frames[name] = body
 	}
 	for _, v := range rkv.WireSamples() {
-		add(v, false)
+		add(v)
 	}
 	for _, v := range dmutex.WireSamples() {
-		add(v, false)
+		add(v)
 	}
-	add(corpusGobValue{Seq: 99, Text: "gob fallback"}, true)
 	return frames
 }
 
 // TestSeedCorpusCoversAllTags verifies the committed corpus: every file
 // parses, every well-formed seed decodes cleanly against the live
-// registry, and together the seeds cover every registered tag plus the
-// gob fallback. With -update-corpus it (re)writes the seed files first.
+// registry, every reject-* frame is refused, and together the files
+// cover every registered tag plus the reserved tag 0. With
+// -update-corpus it (re)writes the seed files first.
 func TestSeedCorpusCoversAllTags(t *testing.T) {
 	frames := seedFrames(t)
 	if *updateCorpus {
@@ -125,18 +114,25 @@ func TestSeedCorpusCoversAllTags(t *testing.T) {
 		if r.Err() == nil {
 			covered[tag] = true
 		}
-		if !strings.HasPrefix(e.Name(), "seed-") {
+		_, _, err := codec.DecodeBody(body, reg)
+		switch {
+		case strings.HasPrefix(e.Name(), "seed-"):
+			if err != nil {
+				t.Errorf("%s: well-formed seed no longer decodes: %v", e.Name(), err)
+			}
+		case strings.HasPrefix(e.Name(), "reject-"):
+			if err == nil {
+				t.Errorf("%s: hostile frame decoded", e.Name())
+			}
+		default:
 			continue // fuzz-discovered additions need not decode cleanly
 		}
 		seeds++
-		if _, _, err := codec.DecodeBody(body, reg); err != nil {
-			t.Errorf("%s: well-formed seed no longer decodes: %v", e.Name(), err)
-		}
 	}
 	if seeds < len(frames) {
 		t.Errorf("corpus holds %d seed files, want %d (run with -update-corpus)", seeds, len(frames))
 	}
-	want := []uint64{codec.TagGob}
+	want := []uint64{0}
 	for tag := uint64(0x10); tag <= 0x1f; tag++ { // rkv: register + batch + reconfig + workload
 		want = append(want, tag)
 	}

@@ -19,8 +19,8 @@ const (
 )
 
 // RegisterBinaryWire registers hand-written varint codecs for the
-// protocol's wire messages, replacing the reflective gob fallback on the
-// live transport's hot path. Every message carries the sender's
+// protocol's wire messages — the live transport's only wire format. Every
+// message carries the sender's
 // configuration epoch and exactly one ReqID, so the seven registrations
 // share an encoder shape.
 func RegisterBinaryWire(reg *codec.Registry) {

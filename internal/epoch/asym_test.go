@@ -6,6 +6,7 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
+	"hquorum/internal/htgrid"
 )
 
 func TestAsymValidate(t *testing.T) {
@@ -113,6 +114,41 @@ func TestAsymPickersIntersect(t *testing.T) {
 			if !rq.SubsetOf(live) || !wq.SubsetOf(live) {
 				t.Fatalf("%v: quorum not drawn from live set", p)
 			}
+		}
+	}
+}
+
+// TestHTGridCrossIntersection: FlavorHTGrid pairs h-grid row-cover
+// reads with §4.2's smaller h-T-grid writes. Every h-T-grid quorum meets
+// every row cover (exhaustively on a 3x3 hierarchy), and reads and
+// writes drawn through the pickers intersect.
+func TestHTGridCrossIntersection(t *testing.T) {
+	sys := htgrid.Auto(3, 3)
+	covers := sys.Hierarchy().RowCovers()
+	sys.EnumerateQuorums(func(w bitset.Set) bool {
+		for _, r := range covers {
+			if !w.Intersects(r) {
+				t.Fatalf("write quorum %v misses read quorum %v", w, r)
+			}
+		}
+		return true
+	})
+	pk, err := NewPickers(9, Params{Flavor: FlavorHTGrid, Rows: 3, Cols: 3, Members: MemberRange(0, 9)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		live := bitset.New(9)
+		for i := 0; i < 9; i++ {
+			if rng.Intn(4) != 0 {
+				live.Add(i)
+			}
+		}
+		rq, rerr := pk.Read(rng, live)
+		wq, werr := pk.Write(rng, live)
+		if rerr == nil && werr == nil && !rq.Intersects(wq) {
+			t.Fatalf("read %v and write %v don't intersect (live %v)", rq, wq, live)
 		}
 	}
 }

@@ -42,8 +42,9 @@ type Store struct {
 }
 
 // NewStore creates a store over a fixed ID space with initial installed
-// at epoch 1 (epoch 0 is reserved for "not epoch-versioned", so legacy
-// frames stamped 0 are distinguishable).
+// at epoch 1. A cluster that never reconfigures simply stays there.
+// Epoch 0 is never installed; dmutex stamps it on the frames of a lock
+// that runs without an epoch store.
 func NewStore(space int, initial Params) (*Store, error) {
 	pk, err := NewPickers(space, initial)
 	if err != nil {
@@ -188,9 +189,8 @@ func (s *Store) pickUnion(rng *rand.Rand, live bitset.Set, kind int) (bitset.Set
 	return q, nil
 }
 
-// PickRead draws a read quorum (both-config union while joint). Together
-// with PickWrite and Universe this satisfies rkv.Store, so an epoch
-// store plugs straight into the replicated-store client.
+// PickRead draws a read quorum (both-config union while joint) — the
+// replicated store's read picker.
 func (s *Store) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
 	return s.pickUnion(rng, live, pickRead)
 }

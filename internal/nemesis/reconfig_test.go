@@ -12,7 +12,7 @@ import (
 func runReconfig(t *testing.T, seed int64, initial epoch.Params, space int, sched Schedule) RKVResult {
 	t.Helper()
 	res, err := RunRKV(RKVRun{
-		Initial:  &initial,
+		Initial:  initial,
 		Space:    space,
 		Seed:     seed,
 		Schedule: sched,

@@ -46,18 +46,16 @@ func window(s Schedule) time.Duration {
 
 // RKVRun parameterizes one chaotic replicated-register run.
 type RKVRun struct {
-	Store    rkv.Store
 	Seed     int64
 	Schedule Schedule
-	// Initial, when set, runs the cluster epoch-versioned: every node gets
-	// its own epoch store seeded with this configuration, operations carry
-	// epochs on the wire, and the schedule's Reconfig actions kick live
-	// configuration changes. Space is the node-ID space (the number of
-	// simulated nodes, which may exceed the initial member count so the
-	// cluster can grow); Store is ignored. The workload runs on the
-	// initial members only — non-members are pure replicas until a
-	// reconfiguration pulls them in.
-	Initial *epoch.Params
+	// Initial is the cluster's starting configuration: every node gets its
+	// own epoch store seeded with it, operations carry epochs on the wire,
+	// and the schedule's Reconfig actions kick live configuration changes.
+	// Space is the node-ID space (the number of simulated nodes, which may
+	// exceed the initial member count so the cluster can grow). The
+	// workload runs on the initial members only — non-members are pure
+	// replicas until a reconfiguration pulls them in.
+	Initial epoch.Params
 	Space   int
 	// OpsPerNode is each node's workload length, alternating writes of
 	// globally unique values with reads (default 6).
@@ -69,10 +67,10 @@ type RKVRun struct {
 	// This is the mid-run 50% → ShiftReads·100% mix shift a workload-aware
 	// auto-tuner is expected to react to.
 	ShiftReads float64
-	// AutoTune, when set, arms the workload-aware quorum tuner on node 0
-	// (Initial runs only): the node profiles its local operation mix and
-	// drives live epoch reconfigurations whenever another configuration
-	// beats the current one by the policy's margin (see rkv.Config.AutoTune).
+	// AutoTune, when set, arms the workload-aware quorum tuner on node 0:
+	// the node profiles its local operation mix and drives live epoch
+	// reconfigurations whenever another configuration beats the current
+	// one by the policy's margin (see rkv.Config.AutoTune).
 	// Chaos policies want relaxed MinGain/MinAvail: the runner forces read
 	// write-back, so almost every read pays a write-quorum round and the
 	// measured gain of asymmetric reads is smaller than on live clusters.
@@ -143,8 +141,8 @@ type RKVResult struct {
 	Messages, Dropped          uint64
 	// Ops is the recorded history.
 	Ops []history.Op
-	// Epoch and Joint describe the epoch-versioned cluster's final state
-	// (Initial runs only): the highest epoch any live node reached, and
+	// Epoch and Joint describe the cluster's final configuration state:
+	// the highest epoch any live node reached, and
 	// whether any live node was still on a joint config when the run
 	// drained — a completed reconfiguration leaves Joint false.
 	Epoch uint64
@@ -160,19 +158,8 @@ type RKVResult struct {
 // which keeps the checker fast; reads use write-back so crashed writers
 // cannot cause read inversions.
 func RunRKV(r RKVRun) (RKVResult, error) {
-	if r.Store == nil && r.Initial == nil {
-		return RKVResult{}, fmt.Errorf("nemesis: RunRKV needs a store or an initial epoch config")
-	}
-	if r.Initial != nil {
-		if r.Space <= 0 {
-			return RKVResult{}, fmt.Errorf("nemesis: epoch-versioned RunRKV needs Space")
-		}
-		if err := r.Initial.Validate(r.Space); err != nil {
-			return RKVResult{}, err
-		}
-	}
-	if r.AutoTune != nil && r.Initial == nil {
-		return RKVResult{}, fmt.Errorf("nemesis: auto-tune needs an epoch-versioned run")
+	if err := r.Initial.Validate(r.Space); err != nil {
+		return RKVResult{}, err
 	}
 	if r.ShiftReads != 0 && (r.ShiftReads <= 0 || r.ShiftReads >= 1) {
 		return RKVResult{}, fmt.Errorf("nemesis: ShiftReads %v outside (0, 1)", r.ShiftReads)
@@ -198,13 +185,7 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		r.Keys = 1
 	}
 	univ := r.Space
-	if r.Initial == nil {
-		univ = r.Store.Universe()
-	}
 	member := func(i int) bool {
-		if r.Initial == nil {
-			return true
-		}
 		for _, m := range r.Initial.Members {
 			if int(m) == i {
 				return true
@@ -272,16 +253,12 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 				}
 			}
 		}
-		var epochs *epoch.Store
-		if r.Initial != nil {
-			var err error
-			if epochs, err = epoch.NewStore(r.Space, *r.Initial); err != nil {
-				return RKVResult{}, err
-			}
-			stores[i] = epochs
+		epochs, err := epoch.NewStore(univ, r.Initial)
+		if err != nil {
+			return RKVResult{}, err
 		}
+		stores[i] = epochs
 		cfg := rkv.Config{
-			Store:         r.Store,
 			Epochs:        epochs,
 			Ops:           ops,
 			Timeout:       r.Timeout,
@@ -359,15 +336,12 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		// started to settle.
 		reconfigs = append(reconfigs, 0)
 	}
-	hooks := Hooks{}
-	if r.Initial != nil {
-		hooks.OnReconfig = func(rc Reconfig, at time.Duration) {
-			reconfigs = append(reconfigs, rc.Coordinator)
-			// Kick the coordinator with the reconfiguration token; the
-			// protocol spreads the config from there.
-			_ = net.StartTimer(rc.Coordinator, 0, rkv.ReconfigToken(rc.Target))
-		}
-	}
+	hooks := Hooks{OnReconfig: func(rc Reconfig, at time.Duration) {
+		reconfigs = append(reconfigs, rc.Coordinator)
+		// Kick the coordinator with the reconfiguration token; the
+		// protocol spreads the config from there.
+		_ = net.StartTimer(rc.Coordinator, 0, rkv.ReconfigToken(rc.Target))
+	}}
 	if err := ApplyHooks(net, r.Schedule, hooks); err != nil {
 		return RKVResult{}, err
 	}
@@ -391,18 +365,16 @@ func RunRKV(r RKVRun) (RKVResult, error) {
 		return true
 	}, drainBudget)
 
-	if r.Initial != nil {
-		for i, st := range stores {
-			if net.Crashed(cluster.NodeID(i)) {
-				continue
-			}
-			snap := st.Snapshot()
-			if snap.Epoch > res.Epoch {
-				res.Epoch = snap.Epoch
-			}
-			if snap.Joint() {
-				res.Joint = true
-			}
+	for i, st := range stores {
+		if net.Crashed(cluster.NodeID(i)) {
+			continue
+		}
+		snap := st.Snapshot()
+		if snap.Epoch > res.Epoch {
+			res.Epoch = snap.Epoch
+		}
+		if snap.Joint() {
+			res.Joint = true
 		}
 	}
 	res.Ops = rec.Ops()

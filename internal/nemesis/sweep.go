@@ -10,7 +10,6 @@ import (
 	"hquorum/internal/history"
 	"hquorum/internal/lease"
 	"hquorum/internal/quorum"
-	"hquorum/internal/rkv"
 	"hquorum/internal/tuner"
 )
 
@@ -23,17 +22,16 @@ import (
 // checked per key.
 type RKVCase struct {
 	Name      string
-	Store     rkv.Store
 	Window    int
 	Batch     int
 	Keys      int
 	Schedules []Schedule
-	// Initial and Space run the case epoch-versioned (see RKVRun); the
-	// schedules' Reconfig actions then fire live configuration changes.
-	// WantEpoch, when non-zero, turns an unsettled reconfiguration into a
-	// sweep violation: every run must drain at exactly that epoch with no
-	// node left on a joint config.
-	Initial   *epoch.Params
+	// Initial and Space are the starting configuration and node-ID space
+	// (see RKVRun); the schedules' Reconfig actions fire live
+	// configuration changes. WantEpoch, when non-zero, turns an unsettled
+	// reconfiguration into a sweep violation: every run must drain at
+	// exactly that epoch with no node left on a joint config.
+	Initial   epoch.Params
 	Space     int
 	WantEpoch uint64
 	// Disk backs every node with the WAL storage backend (see RKVRun.Disk):
@@ -165,7 +163,6 @@ func SweepRKV(cases []RKVCase, opt SweepOptions) (*Summary, error) {
 					ops = c.Ops
 				}
 				res, err := RunRKV(RKVRun{
-					Store:      c.Store,
 					Seed:       seed,
 					Schedule:   sched,
 					Initial:    c.Initial,

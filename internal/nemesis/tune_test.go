@@ -31,7 +31,7 @@ func runTuneShift(t *testing.T, seed int64) RKVResult {
 	t.Helper()
 	initial := epoch.Params{Flavor: epoch.FlavorMajority, Members: epoch.MemberRange(0, 9)}
 	res, err := RunRKV(RKVRun{
-		Initial:    &initial,
+		Initial:    initial,
 		Space:      16,
 		Seed:       seed,
 		Schedule:   CrashStorm(16),

@@ -7,7 +7,13 @@ import (
 	"time"
 
 	"hquorum/internal/cluster"
+	"hquorum/internal/epoch"
 )
+
+// majority3 is a 3-replica Gifford store with R = W = rw.
+func majority3(rw int) epoch.Params {
+	return epoch.Params{Flavor: epoch.FlavorMajority, R: rw, W: rw, Members: epoch.MemberRange(0, 3)}
+}
 
 // diskHarness wires a 3-replica majority cluster with the disk backend:
 // R=W=3 puts every write on every node, so recovery assertions are
@@ -22,15 +28,11 @@ type diskHarness struct {
 func newDiskHarness(t *testing.T, seed int64, base Config, ops map[cluster.NodeID][]Op) *diskHarness {
 	t.Helper()
 	root := t.TempDir()
-	store, err := NewMajorityStore(3, 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &diskHarness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
 	for i := 0; i < 3; i++ {
 		id := cluster.NodeID(i)
 		cfg := base
-		cfg.Store = store
+		cfg.Epochs = fixedStore(t, 3, majority3(3))
 		cfg.Storage = "disk"
 		cfg.DataDir = filepath.Join(root, fmt.Sprintf("n%d", i))
 		cfg.Ops = ops[id]
@@ -184,8 +186,7 @@ func TestDiskClockLeaseSurvivesCleanShutdown(t *testing.T) {
 			t.Fatalf("node %d close: %v", n.id, err)
 		}
 	}
-	store, _ := NewMajorityStore(3, 3, 3)
-	reborn, err := NewNode(0, Config{Store: store, Storage: "disk", DataDir: h.dirs[0]})
+	reborn, err := NewNode(0, Config{Epochs: fixedStore(t, 3, majority3(3)), Storage: "disk", DataDir: h.dirs[0]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +234,7 @@ func TestDiskCleanShutdownReopen(t *testing.T) {
 		}
 	}
 
-	store, _ := NewMajorityStore(3, 3, 3)
-	reborn, err := NewNode(1, Config{Store: store, Storage: "disk", DataDir: h.dirs[1]})
+	reborn, err := NewNode(1, Config{Epochs: fixedStore(t, 3, majority3(3)), Storage: "disk", DataDir: h.dirs[1]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,14 +268,14 @@ func TestDiskSnapshotCompaction(t *testing.T) {
 
 // TestStorageConfigValidation: bad storage configs fail NewNode.
 func TestStorageConfigValidation(t *testing.T) {
-	store, _ := NewMajorityStore(3, 2, 2)
-	if _, err := NewNode(0, Config{Store: store, Storage: "disk"}); err == nil {
+	store := fixedStore(t, 3, majority3(2))
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "disk"}); err == nil {
 		t.Error("disk storage without DataDir accepted")
 	}
-	if _, err := NewNode(0, Config{Store: store, Storage: "flash"}); err == nil {
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "flash"}); err == nil {
 		t.Error("unknown storage backend accepted")
 	}
-	if _, err := NewNode(0, Config{Store: store, Storage: "memory"}); err != nil {
+	if _, err := NewNode(0, Config{Epochs: store, Storage: "memory"}); err != nil {
 		t.Errorf("memory storage rejected: %v", err)
 	}
 }

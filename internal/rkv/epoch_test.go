@@ -18,6 +18,17 @@ func hgrid44All() epoch.Params {
 	return epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 }
 
+// fixedStore returns one node's epoch store for a cluster that never
+// reconfigures: p installed at epoch 1 over a space-node ID space.
+func fixedStore(t testing.TB, space int, p epoch.Params) *epoch.Store {
+	t.Helper()
+	st, err := epoch.NewStore(space, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 // epochHarness wires a cluster where every node owns an epoch store,
 // mirroring a real deployment (the store is per process, distributed by
 // the reconfiguration protocol).

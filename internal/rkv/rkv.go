@@ -44,8 +44,6 @@ import (
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
 	"hquorum/internal/epoch"
-	"hquorum/internal/hgrid"
-	"hquorum/internal/htgrid"
 	"hquorum/internal/lease"
 	"hquorum/internal/optrace"
 	"hquorum/internal/quorum"
@@ -67,111 +65,14 @@ func (v Version) Less(o Version) bool {
 	return v.Writer < o.Writer
 }
 
-// Store supplies the two quorum flavors. Every PickRead result must
-// intersect every PickWrite result (e.g. row-cover × full-line in the
-// h-grid instantiation).
-type Store interface {
-	Universe() int
-	PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
-	PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error)
-}
-
-// HGridStore adapts a hierarchical grid: read quorums are row-covers,
-// write quorums are full-lines.
-type HGridStore struct {
-	H *hgrid.Hierarchy
-}
-
-// Universe implements Store.
-func (s HGridStore) Universe() int { return s.H.Universe() }
-
-// PickRead implements Store.
-func (s HGridStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.H.PickRowCover(rng, live)
-}
-
-// PickWrite implements Store.
-func (s HGridStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.H.PickFullLine(rng, live)
-}
-
-// HTGridStore implements §4.2's replicated-data refinement: reads keep
-// using the h-grid's row-cover quorums while exclusive writes use the
-// smaller h-T-grid quorums (every h-T-grid quorum still intersects every
-// full row-cover).
-type HTGridStore struct {
-	Sys *htgrid.System
-}
-
-// Universe implements Store.
-func (s HTGridStore) Universe() int { return s.Sys.Universe() }
-
-// PickRead implements Store.
-func (s HTGridStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.Sys.Hierarchy().PickRowCover(rng, live)
-}
-
-// PickWrite implements Store.
-func (s HTGridStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return s.Sys.Pick(rng, live)
-}
-
-// MajorityStore is the classic Gifford read/write threshold store: reads
-// contact R replicas, writes W replicas, with R+W > n (reads see writes)
-// and 2W > n (writes are totally ordered).
-type MajorityStore struct {
-	N, R, W int
-}
-
-// NewMajorityStore validates the thresholds.
-func NewMajorityStore(n, r, w int) (MajorityStore, error) {
-	if n <= 0 || r <= 0 || w <= 0 || r > n || w > n {
-		return MajorityStore{}, fmt.Errorf("rkv: invalid thresholds n=%d r=%d w=%d", n, r, w)
-	}
-	if r+w <= n {
-		return MajorityStore{}, fmt.Errorf("rkv: R+W must exceed n (r=%d w=%d n=%d)", r, w, n)
-	}
-	if 2*w <= n {
-		return MajorityStore{}, fmt.Errorf("rkv: 2W must exceed n (w=%d n=%d)", w, n)
-	}
-	return MajorityStore{N: n, R: r, W: w}, nil
-}
-
-// Universe implements Store.
-func (s MajorityStore) Universe() int { return s.N }
-
-// PickRead implements Store.
-func (s MajorityStore) PickRead(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return pickThreshold(rng, live, s.N, s.R)
-}
-
-// PickWrite implements Store.
-func (s MajorityStore) PickWrite(rng *rand.Rand, live bitset.Set) (bitset.Set, error) {
-	return pickThreshold(rng, live, s.N, s.W)
-}
-
-func pickThreshold(rng *rand.Rand, live bitset.Set, n, k int) (bitset.Set, error) {
-	alive := live.Indices()
-	if len(alive) < k {
-		return bitset.Set{}, quorum.ErrNoQuorum
-	}
-	rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
-	out := bitset.New(n)
-	for _, id := range alive[:k] {
-		out.Add(id)
-	}
-	return out, nil
-}
-
 // Wire messages. The single-key messages (tags 0x10-0x13) are the paper's
 // register protocol operating on the empty key; the batch messages carry
 // many keys' payloads in one frame. Batch slices are parallel arrays built
 // once per phase and never mutated after sending — messages may outlive
 // the op that sent them (simulated networks deliver by reference).
 //
-// Every message carries the sender's configuration epoch (0 on clusters
-// that are not epoch-versioned). Replicas serve a request only when the
-// epochs match; see Node.gate and package epoch.
+// Every message carries the sender's configuration epoch. Replicas serve
+// a request only when the epochs match; see Node.gate and package epoch.
 type (
 	msgReadVersion struct {
 		Epoch uint64
@@ -281,14 +182,12 @@ type Result struct {
 
 // Config parameterizes a replica node.
 type Config struct {
-	Store Store
-	// Epochs, when set, makes the node epoch-versioned: quorum picks route
-	// through the epoch store (Store may be nil — the epoch store supplies
-	// the pickers, including the two-config union while a reconfiguration
-	// is in flight), every frame is stamped with the current epoch, and
-	// replica processing is gated on epoch equality with catch-up traffic
-	// for mismatches. Nil keeps the legacy fixed-config behavior: frames
-	// are stamped epoch 0 and the gate is disabled.
+	// Epochs is the node's quorum source (required): quorum picks route
+	// through the epoch store, including the two-config union while a
+	// reconfiguration is in flight, every frame is stamped with the
+	// current epoch, and replica processing is gated on epoch equality
+	// with catch-up traffic for mismatches. A fixed cluster is an epoch
+	// store that never reconfigures.
 	Epochs *epoch.Store
 	// Shards is the replica store's shard count (default DefaultShards,
 	// rounded up to a power of two). More shards means less lock
@@ -391,10 +290,10 @@ type Config struct {
 	// AutoTune, when set, makes this node a tuning coordinator: it
 	// profiles the workload it serves and, when the tuner's policy says a
 	// different quorum configuration beats the current one under the
-	// measured mix, drives an epoch reconfiguration to it (requires
-	// Epochs). Enable it on one node per cluster — rival coordinators are
-	// safe but waste transitions. Nodes without it still profile, so
-	// their windows are visible to quorumctl and the metrics endpoint.
+	// measured mix, drives an epoch reconfiguration to it. Enable it on
+	// one node per cluster — rival coordinators are safe but waste
+	// transitions. Nodes without it still profile, so their windows are
+	// visible to quorumctl and the metrics endpoint.
 	AutoTune *tuner.Policy
 	// Lease, when set, configures this node's read-lease holder: on
 	// read-heavy workload windows it acquires per-shard read leases and
@@ -604,17 +503,13 @@ var _ cluster.Handler = (*Node)(nil)
 
 // NewNode builds a replica.
 func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
-	if cfg.Epochs != nil {
-		// The epoch store is the quorum source of truth; it satisfies Store
-		// (union picks while joint), so the rest of the client machine is
-		// oblivious to reconfiguration.
-		cfg.Store = cfg.Epochs
+	es := cfg.Epochs
+	if es == nil {
+		return nil, errors.New("rkv: config needs an epoch store")
 	}
-	if cfg.Store == nil {
-		return nil, fmt.Errorf("rkv: config needs a store")
-	}
-	if int(id) < 0 || int(id) >= cfg.Store.Universe() {
-		return nil, fmt.Errorf("rkv: node %d outside universe %d", id, cfg.Store.Universe())
+	u := es.Universe()
+	if int(id) < 0 || int(id) >= u {
+		return nil, fmt.Errorf("rkv: node %d outside universe %d", id, u)
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
@@ -639,9 +534,6 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 	}
 	span := 2 * time.Second
 	if cfg.AutoTune != nil {
-		if cfg.Epochs == nil {
-			return nil, fmt.Errorf("rkv: auto-tune requires an epoch store")
-		}
 		pol := cfg.AutoTune.WithDefaults()
 		cfg.AutoTune = &pol
 		span = pol.Span
@@ -651,8 +543,8 @@ func NewNode(id cluster.NodeID, cfg Config) (*Node, error) {
 		cfg:       cfg,
 		store:     newShardedMap(cfg.Shards),
 		inflight:  make(map[uint64]*opState),
-		suspects:  bitset.New(cfg.Store.Universe()),
-		suspectAt: make([]time.Duration, cfg.Store.Universe()),
+		suspects:  bitset.New(u),
+		suspectAt: make([]time.Duration, u),
 		profile:   tuner.NewWindow(span),
 		trace:     optrace.New(cfg.TraceSample),
 	}
@@ -786,14 +678,9 @@ func (n *Node) mergeClock(c uint64) {
 
 func (n *Node) nextClock() uint64 { return n.clock.Add(1) }
 
-// epochNow returns the node's current configuration epoch (0 when not
-// epoch-versioned), stamped onto every outgoing frame.
-func (n *Node) epochNow() uint64 {
-	if n.cfg.Epochs == nil {
-		return 0
-	}
-	return n.cfg.Epochs.Epoch()
-}
+// epochNow returns the node's current configuration epoch, stamped onto
+// every outgoing frame.
+func (n *Node) epochNow() uint64 { return n.cfg.Epochs.Epoch() }
 
 // gate runs serve iff the sender's configuration epoch matches ours.
 // A stale sender is rejected with our config attached (msgStaleEpoch) so
@@ -804,10 +691,6 @@ func (n *Node) epochNow() uint64 {
 // applying before any concurrent config install completes (the ordering
 // the reconfiguration snapshot relies on).
 func (n *Node) gate(env cluster.Env, from cluster.NodeID, e, seq uint64, serve func()) {
-	if n.cfg.Epochs == nil {
-		serve()
-		return
-	}
 	switch n.cfg.Epochs.Serve(e, serve) {
 	case epoch.VerdictSenderStale:
 		cfg := n.cfg.Epochs.Snapshot()
@@ -903,14 +786,10 @@ func (n *Node) handleReplica(env cluster.Env, from cluster.NodeID, msg any) bool
 		n.onConfigReq(env, from, m)
 	case msgWorkloadReq:
 		// Diagnostics: not epoch-gated, answered straight off the profiler.
-		var cfgBytes []byte
-		if n.cfg.Epochs != nil {
-			cfgBytes = n.cfg.Epochs.Snapshot().Encode(nil)
-		}
 		env.Send(from, msgWorkloadReply{
 			Seq: m.Seq,
 			Wl:  n.profile.Snapshot(env.Now()).Encode(nil),
-			Cfg: cfgBytes,
+			Cfg: n.cfg.Epochs.Snapshot().Encode(nil),
 		})
 	default:
 		return false
@@ -1000,15 +879,12 @@ func (n *Node) Timer(env cluster.Env, token any) {
 // op table no longer knows). Past the op deadline the round fails with
 // the typed ErrStaleEpoch instead.
 func (n *Node) onStaleEpoch(env cluster.Env, m msgStaleEpoch) {
-	if n.cfg.Epochs == nil {
+	cfg, err := epoch.DecodeConfig(m.Cfg)
+	if err != nil {
 		return
 	}
-	if cfg, err := epoch.DecodeConfig(m.Cfg); err == nil {
-		if _, err := n.cfg.Epochs.Install(cfg); err != nil {
-			return // hostile or malformed config: keep ours
-		}
-	} else {
-		return
+	if _, err := n.cfg.Epochs.Install(cfg); err != nil {
+		return // hostile or malformed config: keep ours
 	}
 	op, ok := n.inflight[m.Seq]
 	if !ok {
@@ -1059,7 +935,7 @@ func (n *Node) getOp() *opState {
 		n.free = n.free[:len(n.free)-1]
 		return op
 	}
-	u := n.cfg.Store.Universe()
+	u := n.cfg.Epochs.Universe()
 	return &opState{
 		quorum:     bitset.New(u),
 		pending:    bitset.New(u),
@@ -1388,9 +1264,9 @@ func (n *Node) invalidatePicks() {
 // change to the suspect set — a new suspicion or a SuspectTTL expiry —
 // changes the fingerprint and forces a fresh draw.
 func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
-	pick, c := n.cfg.Store.PickWrite, &n.picks[1]
+	pick, c := n.cfg.Epochs.PickWrite, &n.picks[1]
 	if read {
-		pick, c = n.cfg.Store.PickRead, &n.picks[0]
+		pick, c = n.cfg.Epochs.PickRead, &n.picks[0]
 	}
 	n.decaySuspects(env)
 	fp := n.suspects.Fingerprint()
@@ -1406,7 +1282,7 @@ func (n *Node) pickQuorum(env cluster.Env, op *opState, read bool) error {
 		op.sawNoQuorum = true
 		n.suspects.Clear()
 		n.invalidatePicks()
-		q, err = n.samplePick(env, pick, bitset.Universe(n.cfg.Store.Universe()))
+		q, err = n.samplePick(env, pick, bitset.Universe(n.cfg.Epochs.Universe()))
 		if err != nil {
 			return err
 		}
@@ -1509,9 +1385,9 @@ func (n *Node) deadlineError(env cluster.Env, op *opState) error {
 	if op.sawNoQuorum {
 		return quorum.ErrNoQuorum
 	}
-	pick := n.cfg.Store.PickWrite
+	pick := n.cfg.Epochs.PickWrite
 	if op.ph == phaseReadVersions {
-		pick = n.cfg.Store.PickRead
+		pick = n.cfg.Epochs.PickRead
 	}
 	if _, err := pick(env.Rand(), op.opSuspects.Complement()); err != nil {
 		return quorum.ErrNoQuorum
@@ -1734,18 +1610,6 @@ func (n *Node) Restarted(env cluster.Env) {
 		}
 		env.After(gap, tokenNextOp{})
 	}
-}
-
-// RegisterWire registers the protocol's wire messages with a gob-based
-// transport (e.g. transport.Register).
-func RegisterWire(register func(values ...any)) {
-	register(msgReadVersion{}, msgVersionReply{}, msgWrite{}, msgWriteAck{},
-		msgReadBatch{}, msgReadBatchReply{}, msgWriteBatch{},
-		msgConfigPush{}, msgConfigAck{}, msgStaleEpoch{}, msgConfigReq{},
-		msgSnapReq{}, msgSnapReply{}, msgReconfig{}, msgReconfigDone{},
-		msgWorkloadReq{}, msgWorkloadReply{},
-		msgLeaseGrant{}, msgLeaseRenew{}, msgLeaseInval{}, msgLeaseAck{},
-		msgLeasePull{}, msgLeasePullReply{}, msgLeaseDrop{})
 }
 
 // StartToken returns the timer token that kicks off the node's client

@@ -9,8 +9,7 @@ import (
 
 	"hquorum/internal/bitset"
 	"hquorum/internal/cluster"
-	"hquorum/internal/hgrid"
-	"hquorum/internal/htgrid"
+	"hquorum/internal/epoch"
 	"hquorum/internal/quorum"
 )
 
@@ -26,16 +25,15 @@ func newHarness(t *testing.T, seed int64, ops map[cluster.NodeID][]Op, crash []c
 	return newHarnessCfg(t, seed, Config{}, ops, crash)
 }
 
-// newHarnessCfg is newHarness with a Config template (Store, Ops and
+// newHarnessCfg is newHarness with a Config template (Epochs, Ops and
 // OnResult are filled in by the harness).
 func newHarnessCfg(t *testing.T, seed int64, base Config, ops map[cluster.NodeID][]Op, crash []cluster.NodeID) *harness {
 	t.Helper()
 	h := &harness{net: cluster.New(cluster.WithSeed(seed), cluster.WithLatency(time.Millisecond, 6*time.Millisecond))}
-	store := HGridStore{H: hgrid.Auto(4, 4)}
 	for i := 0; i < 16; i++ {
 		id := cluster.NodeID(i)
 		cfg := base
-		cfg.Store = store
+		cfg.Epochs = fixedStore(t, 16, hgrid44All())
 		cfg.Ops = ops[id]
 		cfg.OnResult = func(r Result) { h.results = append(h.results, r) }
 		n, err := NewNode(id, cfg)
@@ -217,9 +215,10 @@ func TestReadCheaperThanWrite(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	if _, err := NewNode(0, Config{}); err == nil {
-		t.Error("nil store accepted")
+		t.Error("nil epoch store accepted")
 	}
-	if _, err := NewNode(99, Config{Store: HGridStore{H: hgrid.Auto(2, 2)}}); err == nil {
+	grid22 := epoch.Params{Flavor: epoch.FlavorHGrid, Rows: 2, Cols: 2, Members: epoch.MemberRange(0, 4)}
+	if _, err := NewNode(99, Config{Epochs: fixedStore(t, 4, grid22)}); err == nil {
 		t.Error("out-of-universe node accepted")
 	}
 }
@@ -236,38 +235,21 @@ func TestVersionOrdering(t *testing.T) {
 	}
 }
 
-// TestHTGridStoreCrossIntersection: §4.2's refinement — every h-T-grid
-// write quorum intersects every row-cover read quorum, exhaustively on a
-// small hierarchy.
-func TestHTGridStoreCrossIntersection(t *testing.T) {
-	sys := htgrid.Auto(3, 3)
-	covers := sys.Hierarchy().RowCovers()
-	sys.EnumerateQuorums(func(w bitset.Set) bool {
-		for _, r := range covers {
-			if !w.Intersects(r) {
-				t.Fatalf("write quorum %v misses read quorum %v", w, r)
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// TestHTGridStoreEndToEnd: the register works with h-T-grid writes, and
-// exclusive writes are cheaper than with the h-grid store (the h-T-grid
-// quorum replaces the read-quorum + full-line pair).
-func TestHTGridStoreEndToEnd(t *testing.T) {
-	run := func(store Store) (uint64, string) {
+// TestHTGridEndToEnd: the register works with §4.2's h-T-grid writes
+// as well as with h-grid full-line writes.
+func TestHTGridEndToEnd(t *testing.T) {
+	run := func(flavor epoch.Flavor) string {
 		net := cluster.New(cluster.WithSeed(8))
 		var results []Result
 		var replicas []*Node
+		p := epoch.Params{Flavor: flavor, Rows: 4, Cols: 4, Members: epoch.MemberRange(0, 16)}
 		for i := 0; i < 16; i++ {
 			var ops []Op
 			if i == 0 {
 				ops = []Op{{Kind: OpBlindWrite, Value: "fast"}, {Kind: OpRead}}
 			}
 			r, err := NewNode(cluster.NodeID(i), Config{
-				Store:    store,
+				Epochs:   fixedStore(t, 16, p),
 				Ops:      ops,
 				OnResult: func(res Result) { results = append(results, res) },
 			})
@@ -288,29 +270,28 @@ func TestHTGridStoreEndToEnd(t *testing.T) {
 		if len(results) != 2 {
 			t.Fatalf("results %d", len(results))
 		}
-		return net.Messages(), results[1].Value
+		return results[1].Value
 	}
-	h := hgrid.Auto(4, 4)
-	_, hv := run(HGridStore{H: h})
-	_, tv := run(HTGridStore{Sys: htgrid.New(h)})
+	hv, tv := run(epoch.FlavorHGrid), run(epoch.FlavorHTGrid)
 	if hv != "fast" || tv != "fast" {
 		t.Fatalf("reads returned %q / %q", hv, tv)
 	}
 }
 
-func TestMajorityStore(t *testing.T) {
-	if _, err := NewMajorityStore(5, 2, 3); err == nil {
+// TestMajorityThresholds: Gifford thresholds must intersect (R+W > n,
+// 2W > n), and a 5-replica R=W=3 cluster serves read-after-write.
+func TestMajorityThresholds(t *testing.T) {
+	maj5 := func(r, w int) epoch.Params {
+		return epoch.Params{Flavor: epoch.FlavorMajority, R: r, W: w, Members: epoch.MemberRange(0, 5)}
+	}
+	if _, err := epoch.NewStore(5, maj5(2, 3)); err == nil {
 		t.Error("R+W <= n accepted")
 	}
-	if _, err := NewMajorityStore(5, 3, 2); err == nil {
+	if _, err := epoch.NewStore(5, maj5(3, 2)); err == nil {
 		t.Error("2W <= n accepted")
 	}
-	if _, err := NewMajorityStore(0, 1, 1); err == nil {
-		t.Error("empty universe accepted")
-	}
-	store, err := NewMajorityStore(5, 3, 3)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := epoch.NewStore(5, epoch.Params{Flavor: epoch.FlavorMajority}); err == nil {
+		t.Error("empty member set accepted")
 	}
 	net := cluster.New(cluster.WithSeed(10))
 	var results []Result
@@ -321,7 +302,7 @@ func TestMajorityStore(t *testing.T) {
 			ops = []Op{{Kind: OpWrite, Value: "maj"}, {Kind: OpRead}}
 		}
 		r, err := NewNode(cluster.NodeID(i), Config{
-			Store:    store,
+			Epochs:   fixedStore(t, 5, maj5(3, 3)),
 			Ops:      ops,
 			OnResult: func(res Result) { results = append(results, res) },
 		})
@@ -385,7 +366,6 @@ func TestPartitionHealing(t *testing.T) {
 // replica later crashes.
 func TestReadRepair(t *testing.T) {
 	net := cluster.New(cluster.WithSeed(21))
-	store := HGridStore{H: hgrid.Auto(4, 4)}
 	var results []Result
 	var replicas []*Node
 	for i := 0; i < 16; i++ {
@@ -394,7 +374,7 @@ func TestReadRepair(t *testing.T) {
 			ops = []Op{{Kind: OpWrite, Value: "precious"}}
 		}
 		r, err := NewNode(cluster.NodeID(i), Config{
-			Store:      store,
+			Epochs:     fixedStore(t, 16, hgrid44All()),
 			ReadRepair: true,
 			Ops:        ops,
 			OnResult:   func(res Result) { results = append(results, res) },
@@ -457,7 +437,7 @@ func TestWriteNoQuorumAcrossFullLinePartition(t *testing.T) {
 	for _, id := range col0 {
 		majority.Remove(int(id))
 	}
-	store := HGridStore{H: hgrid.Auto(4, 4)}
+	store := fixedStore(t, 16, hgrid44All())
 	rng := rand.New(rand.NewSource(1))
 	if _, err := store.PickWrite(rng, majority); err == nil {
 		t.Fatal("a full-line avoids column 0; the partition premise is broken")
@@ -779,7 +759,7 @@ func (e *fakeEnv) Rand() *rand.Rand                 { return e.rng }
 // TestPickCacheInvalidation: cache hits return the same quorum; a new
 // suspicion forces a fresh pick that avoids the suspect.
 func TestPickCacheInvalidation(t *testing.T) {
-	n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}})
+	n, err := NewNode(0, Config{Epochs: fixedStore(t, 16, hgrid44All())})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -822,7 +802,7 @@ func BenchmarkPickQuorum(b *testing.B) {
 			name = "uncached"
 		}
 		b.Run(name, func(b *testing.B) {
-			n, err := NewNode(0, Config{Store: HGridStore{H: hgrid.Auto(4, 4)}, NoPickCache: !cached})
+			n, err := NewNode(0, Config{Epochs: fixedStore(b, 16, hgrid44All()), NoPickCache: !cached})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -33,8 +33,8 @@ type (
 		Seq uint64
 	}
 	// msgWorkloadReply carries the snapshot (tuner.Workload wire form) plus
-	// the node's current epoch config (empty when not epoch-versioned), so
-	// one round trip gives an operator both the mix and what serves it.
+	// the node's current epoch config, so one round trip gives an operator
+	// both the mix and what serves it.
 	msgWorkloadReply struct {
 		Seq uint64
 		Wl  []byte
@@ -94,7 +94,7 @@ func (n *Node) armTune(env cluster.Env) {
 // driver's hold streak reset — tuning decisions made against union quorums
 // would compare against the wrong baseline.
 func (n *Node) onTune(env cluster.Env) {
-	if n.tune == nil || n.cfg.Epochs == nil {
+	if n.tune == nil {
 		return
 	}
 	defer n.armTune(env)
@@ -119,12 +119,12 @@ type WorkloadClient struct {
 	contact cluster.NodeID
 	retry   time.Duration
 	done    bool
-	onDone  func(wl tuner.Workload, cfg epoch.Config, haveCfg bool)
+	onDone  func(wl tuner.Workload, cfg epoch.Config)
 }
 
 // NewWorkloadClient builds the client; kick it off by delivering
 // StartToken to its Timer.
-func NewWorkloadClient(contact cluster.NodeID, retry time.Duration, onDone func(wl tuner.Workload, cfg epoch.Config, haveCfg bool)) *WorkloadClient {
+func NewWorkloadClient(contact cluster.NodeID, retry time.Duration, onDone func(wl tuner.Workload, cfg epoch.Config)) *WorkloadClient {
 	if retry <= 0 {
 		retry = time.Second
 	}
@@ -158,17 +158,13 @@ func (c *WorkloadClient) Deliver(env cluster.Env, from cluster.NodeID, msg any) 
 	if err != nil {
 		return // malformed: the retry timer re-asks
 	}
-	var cfg epoch.Config
-	haveCfg := false
-	if len(m.Cfg) > 0 {
-		if cfg, err = epoch.DecodeConfig(m.Cfg); err != nil {
-			return
-		}
-		haveCfg = true
+	cfg, err := epoch.DecodeConfig(m.Cfg)
+	if err != nil {
+		return
 	}
 	c.done = true
 	if c.onDone != nil {
-		c.onDone(wl, cfg, haveCfg)
+		c.onDone(wl, cfg)
 	}
 }
 

@@ -207,8 +207,8 @@ func TestWorkloadClientFetch(t *testing.T) {
 	var got tuner.Workload
 	var gotCfg epoch.Config
 	fetched := false
-	wc := NewWorkloadClient(0, 200*time.Millisecond, func(wl tuner.Workload, cfg epoch.Config, haveCfg bool) {
-		got, gotCfg, fetched = wl, cfg, haveCfg
+	wc := NewWorkloadClient(0, 200*time.Millisecond, func(wl tuner.Workload, cfg epoch.Config) {
+		got, gotCfg, fetched = wl, cfg, true
 	})
 	if err := h.net.AddNode(100, wc); err != nil {
 		t.Fatal(err)

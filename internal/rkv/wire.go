@@ -31,8 +31,7 @@ const (
 )
 
 // RegisterBinaryWire registers hand-written varint codecs for the
-// protocol's wire messages, replacing the reflective gob fallback on the
-// live transport's hot path.
+// protocol's wire messages — the live transport's only wire format.
 func RegisterBinaryWire(reg *codec.Registry) {
 	reg.Register(tagReadVersion, msgReadVersion{},
 		func(b []byte, v any) []byte {

@@ -3,7 +3,6 @@ package rkv
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -79,11 +78,9 @@ func TestBatchDecodeRejectsHostileCount(t *testing.T) {
 	}
 }
 
-// TestBinaryWireMatchesGob: the binary path and the gob fallback decode to
-// identical values from the same logical message — the transport can mix
-// binary and gob senders on one connection.
-func TestBinaryWireMatchesGob(t *testing.T) {
-	gob.Register(msgWrite{})
+// TestBinaryWireRandomRoundTrip: randomized writes — arbitrary value
+// bytes, full-range counters — decode to exactly the message encoded.
+func TestBinaryWireRandomRoundTrip(t *testing.T) {
 	reg := codec.NewRegistry()
 	RegisterBinaryWire(reg)
 	rng := rand.New(rand.NewSource(3))
@@ -91,26 +88,21 @@ func TestBinaryWireMatchesGob(t *testing.T) {
 		val := make([]byte, rng.Intn(64))
 		rng.Read(val)
 		m := msgWrite{
+			Epoch:   rng.Uint64(),
 			Seq:     rng.Uint64(),
 			Version: Version{Counter: rng.Uint64(), Writer: cluster.NodeID(rng.Intn(1 << 20))},
 			Value:   string(val),
 		}
-		decodeOne := func(force bool) any {
-			var buf bytes.Buffer
-			enc := codec.NewEncoder(&buf, reg)
-			enc.SetForceGob(force)
-			if _, err := enc.Encode(1, m); err != nil {
-				t.Fatal(err)
-			}
-			_, v, err := codec.NewDecoder(bufio.NewReader(&buf), reg).Decode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return v
+		var buf bytes.Buffer
+		if _, err := codec.NewEncoder(&buf, reg).Encode(1, m); err != nil {
+			t.Fatal(err)
 		}
-		bin, fallback := decodeOne(false), decodeOne(true)
-		if !reflect.DeepEqual(bin, fallback) {
-			t.Fatalf("binary %#v != gob %#v", bin, fallback)
+		_, got, err := codec.NewDecoder(bufio.NewReader(&buf), reg).Decode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("decoded %#v, want %#v", got, m)
 		}
 	}
 }

@@ -6,13 +6,11 @@
 // single event loop that serializes message deliveries and timer callbacks
 // (handlers still need no locking).
 //
-// Messages travel as length-prefixed binary frames (package codec).
-// Protocol types registered with a codec.Registry — rkv.RegisterBinaryWire
-// and dmutex.RegisterBinaryWire feed DefaultRegistry — use hand-written
-// varint codecs; everything else rides the reflective gob fallback (such
-// types must be gob-registered via Register). Binary and gob senders
-// interoperate frame-by-frame on one connection, so a fleet can be
-// upgraded incrementally; WithGobWire forces a node to send gob-only.
+// Messages travel as length-prefixed binary frames (package codec), one
+// hand-written varint codec per protocol type: rkv.RegisterBinaryWire and
+// dmutex.RegisterBinaryWire feed DefaultRegistry. A message whose type
+// has no registration is dropped at its writer (counted in
+// Stats.Dropped) without disturbing the connection or its batch.
 //
 // Each peer gets a dedicated writer goroutine behind a buffered queue:
 // Env.Send never blocks the event loop on dials, slow peers or dead
@@ -25,7 +23,7 @@ package transport
 
 import (
 	"bufio"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -39,14 +37,6 @@ import (
 	"hquorum/internal/optrace"
 	"hquorum/internal/rkv"
 )
-
-// Register makes payload types encodable by the gob fallback. Call once
-// per wire type that has no binary registration, before starting nodes.
-func Register(values ...any) {
-	for _, v := range values {
-		gob.Register(v)
-	}
-}
 
 var (
 	defaultReg     *codec.Registry
@@ -90,7 +80,7 @@ type FastDeliverer interface {
 type Stats struct {
 	Sent     uint64 // messages handed to the transport (incl. self-sends)
 	Received uint64 // frames decoded from peers
-	Dropped  uint64 // messages lost to dial failures, full queues, dead conns
+	Dropped  uint64 // messages lost to dial failures, full queues, dead conns, codec refusals
 	FastPath uint64 // received messages consumed on the reader goroutine (FastDeliverer)
 	BytesOut uint64
 	BytesIn  uint64
@@ -136,14 +126,6 @@ func WithDialTimeout(d time.Duration) Option {
 // DefaultRegistry()).
 func WithRegistry(reg *codec.Registry) Option {
 	return func(n *Node) { n.reg = reg }
-}
-
-// WithGobWire makes the node send every message through the gob fallback
-// frame, ignoring binary registrations. Receiving still understands both,
-// so gob-wire and binary-wire nodes interoperate — the knob exists for
-// cross-checking the two formats and for measuring the binary path's win.
-func WithGobWire() Option {
-	return func(n *Node) { n.forceGob = true }
 }
 
 // WithLinkLatency injects a per-link one-way delay into the node's
@@ -199,7 +181,6 @@ type Node struct {
 	dropRate    float64
 	dialTimeout time.Duration
 	reg         *codec.Registry
-	forceGob    bool
 	linkLat     func(from, to cluster.NodeID) time.Duration
 	trace       *optrace.Tracer // handler's tracer (optrace.Source), nil otherwise
 
@@ -660,7 +641,6 @@ func (w *peerWriter) run() {
 			w.setConn(c)
 			bw = bufio.NewWriterSize(countingWriter{w: conn, count: &w.n.bytesOut}, 64<<10)
 			enc = codec.NewEncoder(bw, w.n.reg)
-			enc.SetForceGob(w.n.forceGob)
 		}
 		// Coalesce: encode into the buffer while messages keep coming,
 		// flush once the queue goes idle. bufio flushes itself mid-burst
@@ -669,17 +649,25 @@ func (w *peerWriter) run() {
 		// the current batch (a bounded mid-batch nap keeps it from leaving
 		// early); one due further out waits behind the batch's flush so the
 		// messages in front of it are not held hostage.
+		//
+		// A message the codec refuses (unregistered type, oversized frame)
+		// never reached the buffer: drop just that one and keep the
+		// connection and the batch.
 		var batched uint64
 		encodeFailed := false
 		for {
 			rec.Begin(optrace.StageEncode)
-			if _, err := enc.Encode(uint64(w.n.id), msg); err != nil {
+			_, err := enc.Encode(uint64(w.n.id), msg)
+			rec.End(optrace.StageEncode)
+			if err == nil {
+				batched++
+			} else if errors.Is(err, codec.ErrUnencodable) {
+				w.n.dropped.Add(1)
+			} else {
 				fail(batched + 1)
 				encodeFailed = true
 				break
 			}
-			rec.End(optrace.StageEncode)
-			batched++
 			select {
 			case raw := <-w.ch:
 				var due time.Time

@@ -8,14 +8,15 @@
 #   2. a byte-identical summary across two back-to-back runs — the sweep
 #      is a deterministic regression artifact, not flaky noise.
 #
-# 200 seeds x 37 (case, schedule) cells = 7400 simulated runs — including
-# a pipelined register cell (window=4, concurrent ops per node), a
-# multi-key batched cell (8 keys, 4 ops per quorum round, checked for
-# per-key linearizability), four durable cells where every node runs
-# the disk WAL backend and restarts recover state by log replay, and an
-# auto-tune cell whose mid-run 50%→95% read shift makes node 0's workload
-# tuner reconfigure the cluster live under a crash storm; the whole gate
-# takes a few seconds of wall clock.
+# 200 seeds x 39 (case, schedule) cells (34 register + 5 lock) = 7800
+# simulated runs — including a pipelined register cell (window=4,
+# concurrent ops per node), a multi-key batched cell (8 keys, 4 ops per
+# quorum round, checked for per-key linearizability), four durable cells
+# where every node runs the disk WAL backend and restarts recover state
+# by log replay, two read-lease cells, and an auto-tune cell whose
+# mid-run 50%→95% read shift makes node 0's workload tuner reconfigure
+# the cluster live under a crash storm. One sweep takes ~40 s on a
+# 2-vCPU box; the gate runs two.
 set -eux
 cd "$(dirname "$0")/.."
 out="$(mktemp -d)"
